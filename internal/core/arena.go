@@ -23,7 +23,11 @@ type lnode struct {
 	reader uint32
 	_      uint32
 
-	_ [4]uint64 // pad to 64 bytes
+	// chain links the first node of a chain on the arena free stack to
+	// the first node of the chain below it (id+1, 0 = bottom).
+	chain atomic.Uint64
+
+	_ [3]uint64 // pad to 64 bytes
 }
 
 type block [blockSize]lnode
@@ -36,10 +40,12 @@ type arena struct {
 	mu   sync.Mutex
 	next atomic.Uint64 // bump pointer for fresh ids
 
-	// freeHead is a Treiber stack of recycled node ids (linked through
-	// lnode.next, which stores the next free id directly while a node is
-	// on the stack). The upper 32 bits are an ABA version tag; the lower
-	// 32 bits hold id+1 (0 = empty).
+	// freeHead is a Treiber stack of chains of recycled node ids: the head
+	// word names a chain's first node, the chain's nodes are linked through
+	// lnode.next (which stores the next id+1 directly while a node is
+	// free), and chains are linked through lnode.chain. The upper 32 bits
+	// are an ABA version tag; the lower 32 bits hold id+1 (0 = empty).
+	// Moving a batch of nodes costs one CAS either way.
 	freeHead atomic.Uint64
 }
 
@@ -87,31 +93,58 @@ func (a *arena) grow() {
 	a.dir.Store(&next)
 }
 
-// pushFree returns a fully quiescent id (grace period elapsed, no live
-// references) to the global free stack.
-func (a *arena) pushFree(id uint64) {
-	n := a.node(id)
+// pushChain returns fully quiescent ids (grace period elapsed, no live
+// references) to the global free stack as one chain, with a single CAS.
+// ids must not be empty.
+func (a *arena) pushChain(ids []uint64) {
+	for i := 0; i < len(ids)-1; i++ {
+		a.node(ids[i]).next.Store(ids[i+1] + 1)
+	}
+	a.node(ids[len(ids)-1]).next.Store(0)
+	a.pushLinked(ids[0])
+}
+
+// pushLinked pushes the chain that starts at first, already linked through
+// lnode.next.
+func (a *arena) pushLinked(first uint64) {
+	n := a.node(first)
 	for {
 		head := a.freeHead.Load()
-		n.next.Store(head & 0xffffffff)
-		if a.freeHead.CompareAndSwap(head, (head>>32+1)<<32|(id+1)) {
+		n.chain.Store(head & 0xffffffff)
+		if a.freeHead.CompareAndSwap(head, (head>>32+1)<<32|(first+1)) {
 			return
 		}
 	}
 }
 
-// popFree removes one id from the global free stack, if any.
-func (a *arena) popFree() (uint64, bool) {
+// popChain removes the top chain from the free stack and appends up to max
+// of its ids to dst. The rest of a longer chain goes back as a chain of its
+// own, so the cost is O(max) whatever the chain's length. max must be
+// positive.
+func (a *arena) popChain(dst []uint64, max int) []uint64 {
+	var id uint64
 	for {
 		head := a.freeHead.Load()
 		idPlus1 := head & 0xffffffff
 		if idPlus1 == 0 {
-			return 0, false
+			return dst
 		}
-		id := idPlus1 - 1
-		next := a.node(id).next.Load() & 0xffffffff
-		if a.freeHead.CompareAndSwap(head, (head>>32+1)<<32|next) {
-			return id, true
+		below := a.node(idPlus1-1).chain.Load() & 0xffffffff
+		if a.freeHead.CompareAndSwap(head, (head>>32+1)<<32|below) {
+			id = idPlus1 - 1
+			break
 		}
+	}
+	for n := 1; ; n++ {
+		dst = append(dst, id)
+		next := a.node(id).next.Load()
+		if next == 0 {
+			return dst
+		}
+		if n == max {
+			a.pushLinked(next - 1)
+			return dst
+		}
+		id = next - 1
 	}
 }

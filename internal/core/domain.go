@@ -1,14 +1,15 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/ebr"
 )
 
 const (
-	// poolSize is N from §4.4: active pools are replenished to N nodes and
-	// trimmed back to N when they exceed 2N.
+	// poolSize is N from §4.4. A refill keeps at most 2N nodes in the
+	// slot's pool and hands the rest to the arena free stack.
 	poolSize = 128
 
 	// defaultSlots bounds the number of concurrent lock operations served
@@ -24,7 +25,14 @@ const (
 type Domain struct {
 	arena *arena
 	rec   *ebr.Domain
-	pools [][]uint64 // active node pool per slot; owned by the slot lessee
+	pools []nodePool // active node pool per slot; owned by the slot lessee
+}
+
+// nodePool is one slot's pool of ready node ids, padded so that two
+// lessees allocating at once never share its cache line.
+type nodePool struct {
+	ids []uint64
+	_   [5]uint64
 }
 
 // NewDomain creates an isolated domain serving at most slots concurrent
@@ -33,9 +41,19 @@ func NewDomain(slots int) *Domain {
 	return &Domain{
 		arena: newArena(),
 		rec:   ebr.NewDomain(slots),
-		pools: make([][]uint64, slots),
+		pools: make([]nodePool, slots),
 	}
 }
+
+// ArenaNodes reports how many list nodes the domain's arena has minted.
+// Recycled nodes are not counted again, so the value is the node working
+// set's high-water mark. It is one atomic load.
+func (d *Domain) ArenaNodes() int64 { return int64(d.arena.next.Load()) }
+
+// Orphaned reports how many retired nodes were released with their slot
+// and are not yet leased again or adopted by an allocating lessee (see
+// ebr.Domain.Orphaned).
+func (d *Domain) Orphaned() int64 { return d.rec.Orphaned() }
 
 var (
 	defaultDomainOnce sync.Once
@@ -118,50 +136,53 @@ func (op Op) ctx(dom *Domain) opCtx {
 }
 
 // alloc returns a node id ready for initialization. It serves from the
-// slot's active pool; on exhaustion it reclaims retired nodes past their
-// grace period, then the global free stack, and finally carves fresh nodes
-// from the arena (the paper's barrier-and-switch becomes a non-blocking
-// collect; see DESIGN.md §1.4). Must be called unpinned.
+// slot's active pool and refills it when empty (the paper's
+// barrier-and-switch becomes a non-blocking collect; see DESIGN.md §1.4).
+// Must be called unpinned.
 func (c opCtx) alloc() uint64 {
-	pool := c.dom.pools[c.idx]
-	if len(pool) == 0 {
-		pool = c.slot.Collect(pool, 2*poolSize)
-		for len(pool) < poolSize/2 {
-			id, ok := c.dom.arena.popFree()
-			if !ok {
-				break
-			}
-			pool = append(pool, id)
-		}
-		if len(pool) == 0 {
-			// Nothing reclaimable. If retired nodes are merely waiting out
-			// their grace period, mint only a small batch — they will be
-			// collectible soon; a full batch is for cold start.
-			n := poolSize
-			if c.slot.LimboLen() > 0 {
-				n = 8
-			}
-			pool = c.dom.arena.allocFresh(pool, n)
-		}
+	p := &c.dom.pools[c.idx]
+	if len(p.ids) == 0 {
+		p.ids = c.refill(p.ids)
 	}
-	id := pool[len(pool)-1]
-	pool = pool[:len(pool)-1]
-	// Trim oversized pools back to poolSize, returning the surplus to the
-	// global free stack so unbalanced workloads do not hoard nodes.
-	if len(pool) > 2*poolSize {
-		for len(pool) > poolSize {
-			c.dom.arena.pushFree(pool[len(pool)-1])
-			pool = pool[:len(pool)-1]
-		}
-	}
-	c.dom.pools[c.idx] = pool
+	id := p.ids[len(p.ids)-1]
+	p.ids = p.ids[:len(p.ids)-1]
 	return id
+}
+
+// refill restocks an empty pool. It takes every node reclaimable through
+// the slot, orphans included, keeps 2N and hands the surplus to the arena
+// free stack as one chain, so a slot that unlinks more than it allocates
+// feeds the slots that allocate more. Failing that it takes a chain from
+// the free stack, and only when neither holds a node does it mint fresh
+// ones: a full batch on a cold start, a small one if retired nodes are
+// merely waiting out their grace period.
+func (c opCtx) refill(pool []uint64) []uint64 {
+	pool = c.slot.Collect(pool, math.MaxInt)
+	if n := len(pool) - 2*poolSize; n > 0 {
+		// Collect drains the limbo front first, so the oldest retirements
+		// go on and the most recent, likeliest still in this core's
+		// cache, stay.
+		c.dom.arena.pushChain(pool[:n])
+		return pool[:copy(pool, pool[n:])]
+	}
+	if len(pool) == 0 {
+		pool = c.dom.arena.popChain(pool, 2*poolSize)
+	}
+	if len(pool) == 0 {
+		n := poolSize
+		if c.slot.LimboLen() > 0 {
+			n = 8
+		}
+		pool = c.dom.arena.allocFresh(pool, n)
+	}
+	return pool
 }
 
 // give returns an id that never became visible to other goroutines (e.g. a
 // failed TryLock insert) straight to the pool — no grace period needed.
 func (c opCtx) give(id uint64) {
-	c.dom.pools[c.idx] = append(c.dom.pools[c.idx], id)
+	p := &c.dom.pools[c.idx]
+	p.ids = append(p.ids, id)
 }
 
 // retire hands an unlinked node to the reclamation domain.

@@ -38,6 +38,14 @@
 //     concurrently leased slots, making an advance attempt O(active), not
 //     O(capacity). Attempts stay amortized (every 64th retire plus each
 //     collect) and race benignly on the final epoch CAS.
+//
+// A slot's retire list (its limbo) lives in a bag the lessee owns. Draining
+// a bag advances a head index, so a collect costs O(values reclaimed)
+// whatever the bag holds. No retired value depends on its slot being leased
+// again: a slot released into its stripe's box keeps its bag there, marked
+// parked, and a slot that overflows to the stack gives its bag up to the
+// stripe's orphan stack. Every Collect adopts both kinds, so a slot that is
+// never leased again strands nothing.
 package ebr
 
 import (
@@ -59,8 +67,9 @@ const gracePeriod = 2
 // worst-case steal scan).
 const maxStripes = 64
 
-// stripe is one shard of the free-slot pool, padded so that neighbouring
-// stripes never share a cache line.
+// stripe is one shard of the free-slot pool and of the bag stacks, padded
+// so that neighbouring stripes never share a cache line. The bag stacks sit
+// on the second line: slot leases never touch them.
 type stripe struct {
 	// box caches one free slot as idx+1 (0 = empty). It is the fast path:
 	// leased with a single Swap, returned with a single CompareAndSwap.
@@ -70,7 +79,15 @@ type stripe struct {
 	// through slot.nextFree. The version tag prevents ABA reuse.
 	stack atomic.Uint64
 
-	_ [14]uint64 // pad to 2 cache lines
+	_ [6]uint64
+
+	// orphans holds bags released with live values, spare holds empty
+	// bags; both are versioned Treiber stacks of bag indices linked
+	// through bag.next, like stack.
+	orphans atomic.Uint64
+	spare   atomic.Uint64
+
+	_ [6]uint64
 }
 
 // Domain is an independent reclamation domain. All goroutines operating on
@@ -95,6 +112,11 @@ type Domain struct {
 	stripes []stripe
 	mask    uint32 // len(stripes)-1; len is a power of two
 	slots   []slot
+
+	// bags holds twice as many limbo bags as there are slots. A slot holds
+	// at most one bag, plus one more while its lessee merges an orphan, so
+	// a bagless lessee always leaves at least two on the stacks.
+	bags []bag
 }
 
 type retired struct {
@@ -114,11 +136,51 @@ type slot struct {
 	// transfer through the stripe atomics orders the accesses).
 	home uint32
 
-	// limbo holds values retired through this slot, oldest first. It is
-	// accessed only by the goroutine currently leasing the slot.
-	limbo []retired
+	// bag is the index+1 of the slot's limbo bag, 0 for none. Written
+	// only by the lessee, like home.
+	bag uint32
 
-	_ [11]uint64 // pad to 2 cache lines
+	// parked is the bag's live count while the slot sits released in a
+	// box with values in limbo, 0 otherwise. It tells adopters which box
+	// slots are worth claiming, and Orphaned sums it.
+	parked atomic.Int64
+
+	_ [12]uint64 // pad to 2 cache lines
+}
+
+// bag is one limbo list: retired values, oldest first. Its live values are
+// vals[head:]. A bag is owned by one lessee, or sits on one stripe stack.
+type bag struct {
+	vals []retired
+	head int
+
+	// next links the bag into an orphans or spare stack.
+	next atomic.Uint32
+
+	// orphaned is the bag's live count while it sits on an orphan stack,
+	// 0 otherwise; Orphaned sums it.
+	orphaned atomic.Int64
+
+	_ [2]uint64 // pad to a cache line
+}
+
+func (b *bag) live() int { return len(b.vals) - b.head }
+
+// add appends r. A full bag whose dead prefix is at least half its length
+// is compacted in place instead of grown, so a bag stays near its peak
+// live size and every move is paid for by the reclaims that freed it.
+func (b *bag) add(r retired) {
+	if len(b.vals) == cap(b.vals) && b.head > 0 && b.head >= len(b.vals)/2 {
+		b.vals = b.vals[:copy(b.vals, b.vals[b.head:])]
+		b.head = 0
+	}
+	b.vals = append(b.vals, r)
+}
+
+// reset empties the bag, keeping its capacity.
+func (b *bag) reset() {
+	b.vals = b.vals[:0]
+	b.head = 0
 }
 
 // Slot is a leased per-operation context. A Slot must be used by one
@@ -156,22 +218,26 @@ func NewDomainStripes(n, stripes int) *Domain {
 		stripes: make([]stripe, ns),
 		mask:    uint32(ns - 1),
 		slots:   make([]slot, n),
+		bags:    make([]bag, 2*n),
 	}
 	d.epoch.Store(gracePeriod)
 	// Seed the pool round-robin: slot i belongs to stripe i&mask, boxes get
 	// the lowest indices, overflow stacks are pushed high-to-low so that
 	// low indices surface first. Handing out low indices first is what
 	// keeps the watermark — and with it the advance scan — near the number
-	// of slots actually in circulation.
+	// of slots actually in circulation. Slot i starts with bag i; the
+	// other half of the bags start as spares.
 	for i := n - 1; i >= 0; i-- {
 		idx := uint32(i)
 		st := idx & d.mask
 		d.slots[i].home = st
+		d.slots[i].bag = idx + 1
 		if uint32(i) < uint32(ns) {
 			d.stripes[st].box.Store(uint64(idx + 1))
 		} else {
 			d.pushStack(st, idx)
 		}
+		push(&d.stripes[st].spare, uint32(n+i), &d.bags[n+i].next)
 	}
 	return d
 }
@@ -187,32 +253,44 @@ func ghash() uint32 {
 	return uint32(h >> 32)
 }
 
-func (d *Domain) pushStack(st, idx uint32) {
-	s := &d.stripes[st]
+// push links idx onto the versioned Treiber stack at head; link is idx's
+// successor word. Every push and pop bumps the version in the upper 32
+// bits, so a CAS armed with a stale head word always fails.
+func push(head *atomic.Uint64, idx uint32, link *atomic.Uint32) {
 	for {
-		head := s.stack.Load()
-		d.slots[idx].nextFree.Store(uint32(head & 0xffffffff))
-		next := (head>>32+1)<<32 | uint64(idx+1)
-		if s.stack.CompareAndSwap(head, next) {
+		h := head.Load()
+		link.Store(uint32(h))
+		if head.CompareAndSwap(h, (h>>32+1)<<32|uint64(idx+1)) {
 			return
 		}
 	}
 }
 
-func (d *Domain) popStack(st uint32) (uint32, bool) {
-	s := &d.stripes[st]
+// pop removes the top index from the stack at head; link maps an index to
+// its successor word.
+func pop(head *atomic.Uint64, link func(idx uint32) *atomic.Uint32) (uint32, bool) {
 	for {
-		head := s.stack.Load()
-		idxPlus1 := uint32(head & 0xffffffff)
-		if idxPlus1 == 0 {
+		h := head.Load()
+		top := uint32(h)
+		if top == 0 {
 			return 0, false
 		}
-		idx := idxPlus1 - 1
-		next := (head>>32+1)<<32 | uint64(d.slots[idx].nextFree.Load())
-		if s.stack.CompareAndSwap(head, next) {
-			return idx, true
+		next := (h>>32+1)<<32 | uint64(link(top-1).Load())
+		if head.CompareAndSwap(h, next) {
+			return top - 1, true
 		}
 	}
+}
+
+func (d *Domain) slotLink(idx uint32) *atomic.Uint32 { return &d.slots[idx].nextFree }
+func (d *Domain) bagLink(idx uint32) *atomic.Uint32  { return &d.bags[idx].next }
+
+func (d *Domain) pushStack(st, idx uint32) {
+	push(&d.stripes[st].stack, idx, &d.slots[idx].nextFree)
+}
+
+func (d *Domain) popStack(st uint32) (uint32, bool) {
+	return pop(&d.stripes[st].stack, d.slotLink)
 }
 
 // AcquireSlot leases a slot, waiting politely if all slots are in use.
@@ -279,7 +357,11 @@ func (d *Domain) TryAcquireSlot() (Slot, bool) {
 // leased finalizes a lease: records the lessee's home stripe and raises the
 // watermark if this slot index has never circulated before.
 func (d *Domain) leased(idx, home uint32) Slot {
-	d.slots[idx].home = home
+	sl := &d.slots[idx]
+	sl.home = home
+	if sl.parked.Load() != 0 {
+		sl.parked.Store(0) // its limbo is the lessee's again
+	}
 	for {
 		h := d.hi.Load()
 		if idx < h {
@@ -293,16 +375,35 @@ func (d *Domain) leased(idx, home uint32) Slot {
 }
 
 // ReleaseSlot returns a leased slot to the domain. The slot must be
-// unpinned. Any values still in its limbo list stay attached to the slot
-// and will be collected by a future lessee.
+// unpinned. Values still waiting in its limbo never wait on this slot being
+// leased again: released into the stripe's box, the slot keeps its bag
+// there, marked parked, for its next lessee or for any Collect to claim;
+// overflowing to the stripe's stack, it gives the bag up to the stripe's
+// orphan stack, which any Collect adopts.
 func (d *Domain) ReleaseSlot(s Slot) {
 	if s.d != d {
 		panic("ebr: slot released to wrong domain")
 	}
-	home := d.slots[s.idx].home
-	if !d.stripes[home].box.CompareAndSwap(0, uint64(s.idx+1)) {
-		d.pushStack(home, s.idx)
+	sl := &d.slots[s.idx]
+	home := sl.home
+	live := 0
+	if sl.bag != 0 {
+		live = d.bags[sl.bag-1].live()
 	}
+	if live > 0 {
+		sl.parked.Store(int64(live)) // before the box CAS publishes the slot
+	}
+	if d.stripes[home].box.CompareAndSwap(0, uint64(s.idx+1)) {
+		return
+	}
+	if live > 0 {
+		sl.parked.Store(0)
+		b := &d.bags[sl.bag-1]
+		b.orphaned.Store(int64(live))
+		push(&d.stripes[home].orphans, sl.bag-1, &b.next)
+		sl.bag = 0
+	}
+	d.pushStack(home, s.idx)
 }
 
 // Epoch returns the current global epoch (useful for tests and stats).
@@ -321,6 +422,22 @@ func (d *Domain) Watermark() int { return int(d.hi.Load()) }
 // concurrently leased slots rather than the domain capacity.
 func (d *Domain) AdvanceStats() (attempts, scanned uint64) {
 	return d.advAttempts.Load(), d.advScanned.Load()
+}
+
+// Orphaned reports how many retired values were released with their slot
+// and are not yet leased again or adopted by a Collect: those on orphan
+// stacks and those parked with a slot in a box. It reads one word per bag
+// and per slot; only releases, leases of a parked slot and adoptions write
+// those words.
+func (d *Domain) Orphaned() int64 {
+	var n int64
+	for i := range d.bags {
+		n += d.bags[i].orphaned.Load()
+	}
+	for i := range d.slots {
+		n += d.slots[i].parked.Load()
+	}
+	return n
 }
 
 // Index returns the slot's dense index in [0, n); callers use it to attach
@@ -347,17 +464,105 @@ func (s Slot) Unpin() {
 // be called pinned or unpinned.
 func (s Slot) Retire(val uint64) {
 	sl := s.slot()
-	sl.limbo = append(sl.limbo, retired{val: val, epoch: s.d.epoch.Load()})
+	if sl.bag == 0 {
+		sl.bag = s.d.takeBag(sl.home) + 1
+	}
+	b := &s.d.bags[sl.bag-1]
+	b.add(retired{val: val, epoch: s.d.epoch.Load()})
 	// Nudge the epoch forward periodically so that reclamation keeps pace
 	// with retirement even when Collect is called rarely. (Advancing while
 	// pinned is safe: the pinned slot merely blocks the *next* advance.)
-	if len(sl.limbo)&63 == 0 {
+	if len(b.vals)&63 == 0 {
 		s.d.tryAdvance()
 	}
 }
 
+// takeBag finds a bag for a lessee that has none: an orphan from the home
+// stripe first (usually the bag this goroutine's last lease gave up, values
+// and all), then a spare, then the other stripes. At least two bags are on
+// the stacks at any instant, so a sweep misses only while bags move, and
+// then another lessee has made progress.
+func (d *Domain) takeBag(home uint32) uint32 {
+	var bo locks.Backoff
+	for {
+		for i := uint32(0); i <= d.mask; i++ {
+			st := &d.stripes[(home+i)&d.mask]
+			if idx, ok := pop(&st.orphans, d.bagLink); ok {
+				d.bags[idx].orphaned.Store(0)
+				return idx
+			}
+			if idx, ok := pop(&st.spare, d.bagLink); ok {
+				return idx
+			}
+		}
+		bo.Pause()
+	}
+}
+
+// adopt makes every released value part of the slot's limbo: each bag on
+// an orphan stack, and the bag of each slot parked in a box, which adopt
+// claims from the box as a lessee would and puts back bagless.
+func (s Slot) adopt() {
+	d := s.d
+	sl := s.slot()
+	for i := uint32(0); i <= d.mask; i++ {
+		si := (sl.home + i) & d.mask
+		st := &d.stripes[si]
+		for {
+			b, ok := pop(&st.orphans, d.bagLink)
+			if !ok {
+				break
+			}
+			d.bags[b].orphaned.Store(0)
+			s.merge(b)
+		}
+		if v := st.box.Load(); v != 0 && d.slots[v-1].parked.Load() != 0 && st.box.CompareAndSwap(v, 0) {
+			idle := &d.slots[v-1]
+			idle.parked.Store(0)
+			if idle.bag != 0 {
+				s.merge(idle.bag - 1)
+				idle.bag = 0
+			}
+			if !st.box.CompareAndSwap(0, v) {
+				d.pushStack(si, uint32(v-1))
+			}
+		}
+	}
+}
+
+// merge adds bag b to the slot's limbo: b becomes the slot's bag if it has
+// none, else the smaller of the two is copied into the larger and the
+// emptied one becomes a spare. Merged values keep their own retire epochs,
+// so a merge never shortens a grace period; a value may wait behind a
+// younger one, never longer than that one's grace period.
+func (s Slot) merge(b uint32) {
+	d := s.d
+	sl := s.slot()
+	if sl.bag == 0 {
+		sl.bag = b + 1
+		return
+	}
+	into, from := sl.bag-1, b
+	if d.bags[from].live() > d.bags[into].live() {
+		into, from = from, into
+		sl.bag = into + 1
+	}
+	fb, ib := &d.bags[from], &d.bags[into]
+	for _, r := range fb.vals[fb.head:] {
+		ib.add(r)
+	}
+	fb.reset()
+	push(&d.stripes[sl.home].spare, from, &fb.next)
+}
+
 // LimboLen reports how many values are awaiting reclamation on this slot.
-func (s Slot) LimboLen() int { return len(s.slot().limbo) }
+func (s Slot) LimboLen() int {
+	sl := s.slot()
+	if sl.bag == 0 {
+		return 0
+	}
+	return s.d.bags[sl.bag-1].live()
+}
 
 // tryAdvance attempts to advance the global epoch by one. The epoch can
 // advance only when every active slot has observed the current epoch; only
@@ -386,25 +591,32 @@ func (d *Domain) tryAdvance() {
 }
 
 // Collect attempts to reclaim values retired through this slot, appending
-// at most max of them to dst and returning the extended slice. It advances
-// the global epoch opportunistically. Collect never blocks: if no value
-// has cleared its grace period, dst is returned unchanged.
+// at most max of them to dst and returning the extended slice. It first
+// adopts every value released with its slot (see ReleaseSlot), so over
+// successive calls any lessee reclaims everything retired in the domain.
+// It advances the global epoch opportunistically. Collect never blocks: if
+// no value has cleared its grace period, dst is returned unchanged. Its
+// cost is O(values reclaimed) plus the adoption copy; the values that stay
+// are not moved.
 //
 // The caller must not be pinned (a pinned slot would block the epoch
 // advance it is asking for).
 func (s Slot) Collect(dst []uint64, max int) []uint64 {
 	d := s.d
 	d.tryAdvance()
-	safe := d.epoch.Load() // values retired at epoch <= safe-gracePeriod are free
+	s.adopt()
 	sl := s.slot()
-	n := 0
-	for n < len(sl.limbo) && n < max && sl.limbo[n].epoch+gracePeriod <= safe {
-		dst = append(dst, sl.limbo[n].val)
-		n++
+	if sl.bag == 0 {
+		return dst
 	}
-	if n > 0 {
-		rest := copy(sl.limbo, sl.limbo[n:])
-		sl.limbo = sl.limbo[:rest]
+	safe := d.epoch.Load() // values retired at epoch <= safe-gracePeriod are free
+	b := &d.bags[sl.bag-1]
+	for n := 0; n < max && b.head < len(b.vals) && b.vals[b.head].epoch+gracePeriod <= safe; n++ {
+		dst = append(dst, b.vals[b.head].val)
+		b.head++
+	}
+	if b.head == len(b.vals) {
+		b.reset()
 	}
 	return dst
 }

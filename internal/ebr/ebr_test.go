@@ -359,3 +359,130 @@ func TestAcquireSeesBoxReleaseWhileWaiting(t *testing.T) {
 		t.Fatal("waiter never observed the released slot")
 	}
 }
+
+// TestReleasedLimboReclaimableByAnyLessee is the no-stranding invariant:
+// every retired value becomes reclaimable by some lessee without that
+// lessee leasing any particular slot. Sixteen releasers retire through all
+// sixteen slots at once and release them with values still in limbo; a
+// single goroutine then drains, and with one stripe its lease is the box
+// slot every time, so it never leases the other fifteen slots the values
+// went through.
+func TestReleasedLimboReclaimableByAnyLessee(t *testing.T) {
+	const (
+		slots = 16
+		perR  = 100
+	)
+	d := NewDomainStripes(slots, 1)
+	var leased, wg sync.WaitGroup
+	leased.Add(slots)
+	for r := 0; r < slots; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			s := d.AcquireSlot()
+			leased.Done()
+			leased.Wait() // every slot is leased: each releaser retires through its own
+			for i := 0; i < perR; i++ {
+				s.Retire(uint64(r*perR + i))
+			}
+			d.ReleaseSlot(s)
+		}(r)
+	}
+	wg.Wait()
+	if got, want := d.Orphaned(), int64(slots*perR); got != want {
+		t.Fatalf("Orphaned() = %d after every slot was released with values, want %d", got, want)
+	}
+
+	seen := make(map[uint64]bool)
+	drainSlot := -1
+	var buf []uint64
+	for i := 0; i < 8 && len(seen) < slots*perR; i++ {
+		s := d.AcquireSlot()
+		if drainSlot < 0 {
+			drainSlot = s.Index()
+		} else if s.Index() != drainSlot {
+			t.Fatalf("drain leased slot %d after slot %d; the test needs one slot throughout", s.Index(), drainSlot)
+		}
+		buf = s.Collect(buf[:0], 1<<20)
+		for _, v := range buf {
+			if seen[v] {
+				t.Fatalf("value %d reclaimed twice", v)
+			}
+			seen[v] = true
+		}
+		d.ReleaseSlot(s)
+	}
+	if len(seen) != slots*perR {
+		t.Fatalf("one lessee reclaimed %d of %d released values", len(seen), slots*perR)
+	}
+	if n := d.Orphaned(); n != 0 {
+		t.Fatalf("Orphaned() = %d after the drain, want 0", n)
+	}
+}
+
+// TestParkedLimboAdoptedFromBox checks the other release path: a slot
+// released into an empty box keeps its limbo there, counted as orphaned,
+// and another lessee's Collect claims the box slot, takes the values and
+// puts the slot back, still leasable.
+func TestParkedLimboAdoptedFromBox(t *testing.T) {
+	d := NewDomainStripes(2, 1)
+	x := d.AcquireSlot() // the box slot
+	y := d.AcquireSlot() // the stack slot
+	for i := uint64(0); i < 10; i++ {
+		y.Retire(i)
+	}
+	d.ReleaseSlot(y) // the box is empty: y parks there with its limbo
+	if n := d.Orphaned(); n != 10 {
+		t.Fatalf("Orphaned() = %d with 10 values parked in a box, want 10", n)
+	}
+	var got []uint64
+	for i := 0; i < 4 && len(got) < 10; i++ {
+		got = x.Collect(got, 100)
+	}
+	for i, v := range got {
+		if v != uint64(i) {
+			t.Fatalf("reclaimed %v, want 0..9 in order", got)
+		}
+	}
+	if len(got) != 10 {
+		t.Fatalf("x reclaimed %v of y's parked limbo, want all 10", got)
+	}
+	if n := d.Orphaned(); n != 0 {
+		t.Fatalf("Orphaned() = %d after adoption, want 0", n)
+	}
+	if s, ok := d.TryAcquireSlot(); !ok || s.Index() != y.Index() {
+		t.Fatalf("after adoption TryAcquireSlot = %d, %v; want the claimed slot %d back in the pool", s.Index(), ok, y.Index())
+	}
+}
+
+// TestPartialCollectsKeepFIFO interleaves retires with collects capped
+// below the retire rate, so the limbo's drained prefix is reused by
+// compaction again and again: values must still come back exactly once,
+// oldest first, and LimboLen must count what is left.
+func TestPartialCollectsKeepFIFO(t *testing.T) {
+	d := NewDomain(1)
+	s := d.AcquireSlot()
+	defer d.ReleaseSlot(s)
+	var next, want uint64
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 37; i++ {
+			s.Retire(next)
+			next++
+		}
+		s.Collect(nil, 0) // two epoch advances: this round's values clear their grace period
+		s.Collect(nil, 0)
+		got := s.Collect(nil, 29)
+		if len(got) != 29 {
+			t.Fatalf("round %d: reclaimed %d values, want 29", round, len(got))
+		}
+		for _, v := range got {
+			if v != want {
+				t.Fatalf("round %d: reclaimed %d, want %d (FIFO)", round, v, want)
+			}
+			want++
+		}
+		if live := s.LimboLen(); uint64(live) != next-want {
+			t.Fatalf("round %d: LimboLen = %d, want %d", round, live, next-want)
+		}
+	}
+}

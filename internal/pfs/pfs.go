@@ -155,6 +155,10 @@ func (fs *FS) BeginOp() Op {
 	return Op{ol: fs.opSrc, op: fs.opSrc.BeginOp(), dom: fs.opDom}
 }
 
+// LockDomain returns the domain this file system's range locks lease their
+// per-operation state from, nil when the lock variant has none.
+func (fs *FS) LockDomain() *core.Domain { return fs.opDom }
+
 // End returns the context to its domain. The zero Op's End is a no-op.
 func (op Op) End() {
 	if op.ol != nil {

@@ -5,10 +5,12 @@
 //
 // Naming scheme (units are in the name, Prometheus-style):
 //
-//	rs_*    server request loop and placement
-//	wal_*   write-ahead log (fsync, group commit, checkpoints)
-//	repl_*  replication, both leader-side (lag, ack waits) and
-//	        follower-side (reconnects, bootstraps, applied records)
+//	rs_*        server request loop and placement
+//	rangelock_* the shard's range-lock node arena
+//	ebr_*       the shard's epoch-based reclamation domain
+//	wal_*       write-ahead log (fsync, group commit, checkpoints)
+//	repl_*      replication, both leader-side (lag, ack waits) and
+//	            follower-side (reconnects, bootstraps, applied records)
 //
 // Per-shard series carry a {shard="N"} label; per-op-class series carry
 // {op="read"} etc. Counters marked _total are monotone; histograms
@@ -121,6 +123,16 @@ func (s *Server) wireMetrics() {
 	for i := range s.shardOps {
 		c := &s.shardOps[i].n
 		reg.CounterFunc(fmt.Sprintf(`rs_shard_requests_total{shard="%d"}`, i), c.Load)
+	}
+	// The lock domain's node working set and the retired nodes awaiting
+	// adoption, read at snapshot time; a lock variant without a domain
+	// registers neither.
+	for i := 0; i < s.store.NumShards(); i++ {
+		if dom := s.store.Shard(i).LockDomain(); dom != nil {
+			shard := fmt.Sprintf(`{shard="%d"}`, i)
+			reg.GaugeFunc("rangelock_arena_nodes"+shard, dom.ArenaNodes)
+			reg.GaugeFunc("ebr_orphaned"+shard, dom.Orphaned)
+		}
 	}
 	m.batchSize = reg.Histogram("rs_batch_requests")
 	m.inflight = reg.Gauge("rs_inflight_batches")

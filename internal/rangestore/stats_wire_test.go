@@ -2,6 +2,7 @@ package rangestore
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -120,5 +121,40 @@ func TestStatsOverServer(t *testing.T) {
 	}
 	if got := snap2.Value(`rs_requests_total{op="stats"}`); got < 1 {
 		t.Errorf(`rs_requests_total{op="stats"} = %d, want >= 1`, got)
+	}
+}
+
+// TestLockDomainGauges checks the per-shard lock-domain series: every
+// shard of a list-lock store reports its arena size and orphaned count,
+// and a write makes the arena of the shard it touched non-empty.
+func TestLockDomainGauges(t *testing.T) {
+	store := pfs.NewSharded(2, nil)
+	srv := NewServerSharded(store)
+	defer srv.Close()
+	cl := pipeClient(t, srv)
+
+	const name = "gauge-probe"
+	h, err := cl.Open(name, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WriteAt(h, []byte("payload"), 0); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < store.NumShards(); i++ {
+		for _, series := range []string{"rangelock_arena_nodes", "ebr_orphaned"} {
+			full := fmt.Sprintf(`%s{shard="%d"}`, series, i)
+			if _, ok := snap.Get(full); !ok {
+				t.Errorf("%s missing from the snapshot", full)
+			}
+		}
+	}
+	full := fmt.Sprintf(`rangelock_arena_nodes{shard="%d"}`, store.ShardIndex(name))
+	if got := snap.Value(full); got <= 0 {
+		t.Errorf("%s = %d after a write to that shard, want > 0", full, got)
 	}
 }

@@ -60,6 +60,8 @@ for series in \
     'rs_requests_total{op="write"}' \
     'rs_batch_requests_count' \
     'rs_shard_requests_total{shard="0"}' \
+    'rangelock_arena_nodes{shard="0"}' \
+    'ebr_orphaned{shard="0"}' \
     'repl_lag_records'; do
     if ! echo "$metrics" | grep -qF "$series"; then
         echo "FAIL: /metrics missing core series $series" >&2
