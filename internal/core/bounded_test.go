@@ -85,3 +85,37 @@ func TestNodeWorkingSetBounded(t *testing.T) {
 	op.End()
 	t.Logf("arena minted %d nodes over %d acquisitions (bound %d)", dom.ArenaNodes(), 2*rounds, bound)
 }
+
+// TestPoolCapacityBoundedAfterBurst checks that a refill which reclaims a
+// large burst hands the surplus to the arena without keeping the burst's
+// capacity in the slot's pool. B's unlinks of many of A's nodes pile up in
+// B's limbo; B's next refill takes them all at once.
+func TestPoolCapacityBoundedAfterBurst(t *testing.T) {
+	const held = 32 * core.PoolSize
+	dom := core.NewDomain(4)
+	rw := core.NewRW(dom)
+	a := dom.BeginOp()
+	guards := make([]core.Guard, held)
+	for i := range guards {
+		lo := uint64(held - i) // descending, so each insert lands at the head
+		guards[i] = rw.RLockOp(a, lo, lo+1)
+	}
+	for _, g := range guards {
+		g.UnlockOp(a)
+	}
+	a.End()
+
+	b := dom.BeginOp()
+	defer b.End()
+	// B's traversals unlink A's released nodes, and its allocations drain
+	// its pool until a refill reclaims them.
+	for i := 0; i < 8*core.PoolSize; i++ {
+		rw.LockOp(b, 0, held+1).UnlockOp(b)
+		if c := b.PoolCap(); c > 8*core.PoolSize {
+			t.Fatalf("acquisition %d: pool slice capacity %d, want ≤ %d", i, c, 8*core.PoolSize)
+		}
+	}
+	if n := dom.ArenaNodes(); n > 2*held {
+		t.Fatalf("arena minted %d nodes, want reuse after the burst (≤ %d)", n, 2*held)
+	}
+}

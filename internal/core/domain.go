@@ -12,6 +12,10 @@ const (
 	// slot's pool and hands the rest to the arena free stack.
 	poolSize = 128
 
+	// maxPoolCap is the most capacity a slot's pool slice keeps after a
+	// refill handed a surplus to the arena.
+	maxPoolCap = 8 * poolSize
+
 	// defaultSlots bounds the number of concurrent lock operations served
 	// by the default domain.
 	defaultSlots = 1024
@@ -50,9 +54,9 @@ func NewDomain(slots int) *Domain {
 // set's high-water mark. It is one atomic load.
 func (d *Domain) ArenaNodes() int64 { return int64(d.arena.next.Load()) }
 
-// Orphaned reports how many retired nodes were released with their slot
-// and are not yet leased again or adopted by an allocating lessee (see
-// ebr.Domain.Orphaned).
+// Orphaned reports how many retired nodes sit on orphan stacks: released
+// with their slot and not yet adopted by a collect or taken back by a
+// retiring lessee (see ebr.Domain.Orphaned).
 func (d *Domain) Orphaned() int64 { return d.rec.Orphaned() }
 
 var (
@@ -163,6 +167,11 @@ func (c opCtx) refill(pool []uint64) []uint64 {
 		// go on and the most recent, likeliest still in this core's
 		// cache, stay.
 		c.dom.arena.pushChain(pool[:n])
+		if cap(pool) > maxPoolCap {
+			// A burst (an adoption, a stall) grew the slice; do not keep
+			// its peak capacity for good.
+			return append(make([]uint64, 0, 2*poolSize), pool[n:]...)
+		}
 		return pool[:copy(pool, pool[n:])]
 	}
 	if len(pool) == 0 {

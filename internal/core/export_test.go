@@ -7,3 +7,7 @@ const PoolSize = poolSize
 // LimboLen reports how many retired nodes wait on op's slot. Only op's
 // holder may call it.
 func (op Op) LimboLen() int { return op.c.slot.LimboLen() }
+
+// PoolCap reports the capacity of op's node pool slice. Only op's holder
+// may call it.
+func (op Op) PoolCap() int { return cap(op.c.dom.pools[op.c.idx].ids) }

@@ -42,10 +42,9 @@
 // A slot's retire list (its limbo) lives in a bag the lessee owns. Draining
 // a bag advances a head index, so a collect costs O(values reclaimed)
 // whatever the bag holds. No retired value depends on its slot being leased
-// again: a slot released into its stripe's box keeps its bag there, marked
-// parked, and a slot that overflows to the stack gives its bag up to the
-// stripe's orphan stack. Every Collect adopts both kinds, so a slot that is
-// never leased again strands nothing.
+// again: a slot released with values in limbo gives its bag up to the
+// stripe's orphan stack, and every Collect adopts the orphans, so a slot
+// that is never leased again strands nothing.
 package ebr
 
 import (
@@ -140,12 +139,7 @@ type slot struct {
 	// only by the lessee, like home.
 	bag uint32
 
-	// parked is the bag's live count while the slot sits released in a
-	// box with values in limbo, 0 otherwise. It tells adopters which box
-	// slots are worth claiming, and Orphaned sums it.
-	parked atomic.Int64
-
-	_ [12]uint64 // pad to 2 cache lines
+	_ [13]uint64 // pad to 2 cache lines
 }
 
 // bag is one limbo list: retired values, oldest first. Its live values are
@@ -164,22 +158,51 @@ type bag struct {
 	_ [2]uint64 // pad to a cache line
 }
 
+// bagKeep bounds the capacity (in values, 16 bytes each) a bag keeps after
+// a burst: a compacting bag whose capacity exceeds both bagKeep and four
+// times its live count moves to a smaller array, and a drained bag keeps at
+// most bagKeep. Bag memory so follows the live limbo, not the largest
+// burst ever seen.
+const bagKeep = 1024
+
 func (b *bag) live() int { return len(b.vals) - b.head }
 
 // add appends r. A full bag whose dead prefix is at least half its length
-// is compacted in place instead of grown, so a bag stays near its peak
-// live size and every move is paid for by the reclaims that freed it.
+// is compacted instead of grown, so every move is paid for by the reclaims
+// that freed it.
 func (b *bag) add(r retired) {
-	if len(b.vals) == cap(b.vals) && b.head > 0 && b.head >= len(b.vals)/2 {
-		b.vals = b.vals[:copy(b.vals, b.vals[b.head:])]
-		b.head = 0
+	if len(b.vals) == cap(b.vals) {
+		b.compact()
 	}
 	b.vals = append(b.vals, r)
 }
 
-// reset empties the bag, keeping its capacity.
+// compact moves a full bag's live values to the front if its dead prefix
+// is at least half its length, or to a smaller array if they would leave
+// it mostly empty; otherwise add's append grows the bag. It is kept out of
+// line so that add stays cheap enough to inline into Retire.
+//
+//go:noinline
+func (b *bag) compact() {
+	if b.head == 0 || b.head < len(b.vals)/2 {
+		return
+	}
+	live := b.vals[b.head:]
+	if c := cap(b.vals); c > bagKeep && 4*len(live) < c {
+		b.vals = append(make([]retired, 0, max(bagKeep, 2*len(live))), live...)
+	} else {
+		b.vals = b.vals[:copy(b.vals, live)]
+	}
+	b.head = 0
+}
+
+// reset empties the bag, keeping at most bagKeep of its capacity.
 func (b *bag) reset() {
-	b.vals = b.vals[:0]
+	if cap(b.vals) > bagKeep {
+		b.vals = nil
+	} else {
+		b.vals = b.vals[:0]
+	}
 	b.head = 0
 }
 
@@ -357,11 +380,7 @@ func (d *Domain) TryAcquireSlot() (Slot, bool) {
 // leased finalizes a lease: records the lessee's home stripe and raises the
 // watermark if this slot index has never circulated before.
 func (d *Domain) leased(idx, home uint32) Slot {
-	sl := &d.slots[idx]
-	sl.home = home
-	if sl.parked.Load() != 0 {
-		sl.parked.Store(0) // its limbo is the lessee's again
-	}
+	d.slots[idx].home = home
 	for {
 		h := d.hi.Load()
 		if idx < h {
@@ -375,35 +394,26 @@ func (d *Domain) leased(idx, home uint32) Slot {
 }
 
 // ReleaseSlot returns a leased slot to the domain. The slot must be
-// unpinned. Values still waiting in its limbo never wait on this slot being
-// leased again: released into the stripe's box, the slot keeps its bag
-// there, marked parked, for its next lessee or for any Collect to claim;
-// overflowing to the stripe's stack, it gives the bag up to the stripe's
-// orphan stack, which any Collect adopts.
+// unpinned. Values still waiting in its limbo do not wait on this slot
+// being leased again: the slot gives its bag up to the stripe's orphan
+// stack, which any Collect adopts, and keeps only an empty bag.
 func (d *Domain) ReleaseSlot(s Slot) {
 	if s.d != d {
 		panic("ebr: slot released to wrong domain")
 	}
 	sl := &d.slots[s.idx]
 	home := sl.home
-	live := 0
 	if sl.bag != 0 {
-		live = d.bags[sl.bag-1].live()
-	}
-	if live > 0 {
-		sl.parked.Store(int64(live)) // before the box CAS publishes the slot
-	}
-	if d.stripes[home].box.CompareAndSwap(0, uint64(s.idx+1)) {
-		return
-	}
-	if live > 0 {
-		sl.parked.Store(0)
 		b := &d.bags[sl.bag-1]
-		b.orphaned.Store(int64(live))
-		push(&d.stripes[home].orphans, sl.bag-1, &b.next)
-		sl.bag = 0
+		if live := b.live(); live > 0 {
+			b.orphaned.Store(int64(live))
+			push(&d.stripes[home].orphans, sl.bag-1, &b.next)
+			sl.bag = 0
+		}
 	}
-	d.pushStack(home, s.idx)
+	if !d.stripes[home].box.CompareAndSwap(0, uint64(s.idx+1)) {
+		d.pushStack(home, s.idx)
+	}
 }
 
 // Epoch returns the current global epoch (useful for tests and stats).
@@ -424,18 +434,14 @@ func (d *Domain) AdvanceStats() (attempts, scanned uint64) {
 	return d.advAttempts.Load(), d.advScanned.Load()
 }
 
-// Orphaned reports how many retired values were released with their slot
-// and are not yet leased again or adopted by a Collect: those on orphan
-// stacks and those parked with a slot in a box. It reads one word per bag
-// and per slot; only releases, leases of a parked slot and adoptions write
-// those words.
+// Orphaned reports how many retired values sit on orphan stacks: released
+// with their slot and not yet adopted by a Collect or taken back by a
+// lessee. It reads one word per bag; only pushes onto and pops off orphan
+// stacks write those words.
 func (d *Domain) Orphaned() int64 {
 	var n int64
 	for i := range d.bags {
 		n += d.bags[i].orphaned.Load()
-	}
-	for i := range d.slots {
-		n += d.slots[i].parked.Load()
 	}
 	return n
 }
@@ -499,15 +505,12 @@ func (d *Domain) takeBag(home uint32) uint32 {
 	}
 }
 
-// adopt makes every released value part of the slot's limbo: each bag on
-// an orphan stack, and the bag of each slot parked in a box, which adopt
-// claims from the box as a lessee would and puts back bagless.
+// adopt makes every bag on an orphan stack part of the slot's limbo.
 func (s Slot) adopt() {
 	d := s.d
-	sl := s.slot()
+	home := s.slot().home
 	for i := uint32(0); i <= d.mask; i++ {
-		si := (sl.home + i) & d.mask
-		st := &d.stripes[si]
+		st := &d.stripes[(home+i)&d.mask]
 		for {
 			b, ok := pop(&st.orphans, d.bagLink)
 			if !ok {
@@ -515,17 +518,6 @@ func (s Slot) adopt() {
 			}
 			d.bags[b].orphaned.Store(0)
 			s.merge(b)
-		}
-		if v := st.box.Load(); v != 0 && d.slots[v-1].parked.Load() != 0 && st.box.CompareAndSwap(v, 0) {
-			idle := &d.slots[v-1]
-			idle.parked.Store(0)
-			if idle.bag != 0 {
-				s.merge(idle.bag - 1)
-				idle.bag = 0
-			}
-			if !st.box.CompareAndSwap(0, v) {
-				d.pushStack(si, uint32(v-1))
-			}
 		}
 	}
 }

@@ -420,20 +420,20 @@ func TestReleasedLimboReclaimableByAnyLessee(t *testing.T) {
 	}
 }
 
-// TestParkedLimboAdoptedFromBox checks the other release path: a slot
-// released into an empty box keeps its limbo there, counted as orphaned,
-// and another lessee's Collect claims the box slot, takes the values and
-// puts the slot back, still leasable.
-func TestParkedLimboAdoptedFromBox(t *testing.T) {
+// TestBoxReleaseOrphansLimbo checks the box release path: a slot released
+// into an empty box gives its limbo up to the orphan stack like any other
+// release, so another lessee's Collect takes the values while the released
+// slot stays in the box, still leasable, with no values of its own.
+func TestBoxReleaseOrphansLimbo(t *testing.T) {
 	d := NewDomainStripes(2, 1)
 	x := d.AcquireSlot() // the box slot
 	y := d.AcquireSlot() // the stack slot
 	for i := uint64(0); i < 10; i++ {
 		y.Retire(i)
 	}
-	d.ReleaseSlot(y) // the box is empty: y parks there with its limbo
+	d.ReleaseSlot(y) // the box is empty: y goes there, its limbo to the orphans
 	if n := d.Orphaned(); n != 10 {
-		t.Fatalf("Orphaned() = %d with 10 values parked in a box, want 10", n)
+		t.Fatalf("Orphaned() = %d after releasing a slot with 10 values, want 10", n)
 	}
 	var got []uint64
 	for i := 0; i < 4 && len(got) < 10; i++ {
@@ -445,13 +445,21 @@ func TestParkedLimboAdoptedFromBox(t *testing.T) {
 		}
 	}
 	if len(got) != 10 {
-		t.Fatalf("x reclaimed %v of y's parked limbo, want all 10", got)
+		t.Fatalf("x reclaimed %v of y's released limbo, want all 10", got)
 	}
 	if n := d.Orphaned(); n != 0 {
 		t.Fatalf("Orphaned() = %d after adoption, want 0", n)
 	}
-	if s, ok := d.TryAcquireSlot(); !ok || s.Index() != y.Index() {
-		t.Fatalf("after adoption TryAcquireSlot = %d, %v; want the claimed slot %d back in the pool", s.Index(), ok, y.Index())
+	s, ok := d.TryAcquireSlot()
+	if !ok || s.Index() != y.Index() {
+		t.Fatalf("TryAcquireSlot = %d, %v; want the released slot %d from the box", s.Index(), ok, y.Index())
+	}
+	if n := s.LimboLen(); n != 0 {
+		t.Fatalf("released slot leased again with %d values in limbo, want 0", n)
+	}
+	d.ReleaseSlot(s) // an empty limbo orphans nothing
+	if n := d.Orphaned(); n != 0 {
+		t.Fatalf("Orphaned() = %d after releasing an empty limbo, want 0", n)
 	}
 }
 
@@ -484,5 +492,54 @@ func TestPartialCollectsKeepFIFO(t *testing.T) {
 		if live := s.LimboLen(); uint64(live) != next-want {
 			t.Fatalf("round %d: LimboLen = %d, want %d", round, live, next-want)
 		}
+	}
+}
+
+// TestBagCapacityFollowsLiveLimbo checks that a burst does not fix a bag's
+// memory at its peak: once the burst is reclaimed, a compaction moves the
+// live values to an array sized by them, and a fully drained bag keeps
+// at most bagKeep of its capacity. Values still come back oldest first.
+func TestBagCapacityFollowsLiveLimbo(t *testing.T) {
+	const burst = 20 * bagKeep
+	d := NewDomain(1)
+	s := d.AcquireSlot()
+	defer d.ReleaseSlot(s)
+	b := func() *bag { return &d.bags[s.slot().bag-1] }
+	var next, want uint64
+	for ; next < burst; next++ {
+		s.Retire(next)
+	}
+	if c := cap(b().vals); c < burst {
+		t.Fatalf("cap %d after a burst of %d retires", c, burst)
+	}
+	collect := func(max int) {
+		s.Collect(nil, 0) // two epoch advances: every value retired so far clears its grace period
+		s.Collect(nil, 0)
+		for _, v := range s.Collect(nil, max) {
+			if v != want {
+				t.Fatalf("reclaimed %d, want %d (FIFO)", v, want)
+			}
+			want++
+		}
+	}
+	collect(burst - 10) // ten values stay live
+	for len(b().vals) < cap(b().vals) {
+		s.Retire(next)
+		next++
+	}
+	s.Retire(next) // the full bag compacts
+	next++
+	if c, live := cap(b().vals), b().live(); c >= burst || c > max(bagKeep, 2*live) {
+		t.Fatalf("cap %d after compacting %d live values, want ≤ max(%d, 2·live)", c, live, bagKeep)
+	}
+	for ; next < 2*burst; next++ {
+		s.Retire(next)
+	}
+	collect(int(next)) // the bag drains completely and resets
+	if want != next {
+		t.Fatalf("reclaimed up to %d of %d values", want, next)
+	}
+	if c := cap(b().vals); c > bagKeep {
+		t.Fatalf("cap %d after draining, want ≤ %d", c, bagKeep)
 	}
 }
